@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate fuzz-smoke conform conform-full report-smoke load-smoke fmt
+.PHONY: check build test lint lint-json lint-sarif lint-race escapegate bcegate inlinegate lint-gates race trace-smoke bench bench-kernels bench-smoke bench-gate fuzz-smoke conform conform-full report-smoke load-smoke perfbench-smoke fmt
 
 ## check: run the full CI gate (fmt, vet, build, lint, test, race, fuzz)
 check:
@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/gen
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/ingest
+	$(GO) test -run='^$$' -fuzz='^FuzzMergeJoinRuns$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 
 ## conform: conformance smoke matrix under the race detector (see TESTING.md)
@@ -113,6 +114,11 @@ load-smoke:
 	$(GO) run ./cmd/iawjload -spec examples/specs/mixed.json -nspms 1000000 -algorithm SHJ_JM -journal /tmp/iawj-load-smoke.jsonl >/dev/null
 	$(GO) run ./cmd/iawjreport -self /tmp/iawj-load-smoke.jsonl
 	rm -f /tmp/iawj-load-smoke.jsonl
+
+## perfbench-smoke: the benchmark module's tests in perfbench/run.sh's
+## build environment, so the program keeps the APIs the benchmark calls
+perfbench-smoke:
+	./scripts/perfbench-smoke.sh
 
 ## fmt: apply gofmt to the tree
 fmt:

@@ -52,7 +52,8 @@ type Config struct {
 	// Algorithm names one of Algorithms(): NPJ, PRJ, MWAY, MPASS,
 	// SHJ_JM, SHJ_JB, PMJ_JM, PMJ_JB (or HANDSHAKE for the baseline).
 	Algorithm string
-	// Threads is the worker count; 0 uses GOMAXPROCS.
+	// Threads is the worker count; 0 uses GOMAXPROCS. Values above
+	// MaxThreads are rejected with ErrTooManyThreads.
 	Threads int
 	// WindowMs is the window length w; 0 derives it from the inputs.
 	WindowMs int64
@@ -115,6 +116,14 @@ type Config struct {
 	// WindowEndMs.
 	Window WindowTag
 }
+
+// MaxThreads is the largest Config.Threads a join accepts.
+const MaxThreads = core.MaxThreads
+
+// ErrTooManyThreads is returned, wrapped, by Join and the JoinWindowed*
+// drivers when Config.Threads exceeds MaxThreads; match it with
+// errors.Is.
+var ErrTooManyThreads = core.ErrTooManyThreads
 
 // WindowTag identifies the source window of a windowed-sweep run; see
 // Config.Window.

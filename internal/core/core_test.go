@@ -250,6 +250,25 @@ func TestRunRejectsUnsortedStreaming(t *testing.T) {
 	}
 }
 
+func TestRunRejectsTooManyThreads(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		wantErr error
+	}{
+		{MaxThreads, nil},
+		{MaxThreads + 1, ErrTooManyThreads},
+	} {
+		ran := false
+		_, err := Run(countAlg{&ran}, nil, nil, 10, RunConfig{Threads: tc.threads, AtRest: true})
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("Threads %d: err = %v, want %v", tc.threads, err, tc.wantErr)
+		}
+		if ran != (tc.wantErr == nil) {
+			t.Fatalf("Threads %d: ran = %v", tc.threads, ran)
+		}
+	}
+}
+
 type phaseRecorder struct {
 	phases []int
 }

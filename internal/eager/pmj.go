@@ -156,7 +156,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		nR, nS := 0, 0
 		ownsR, ownsS := dist.ownsR, dist.ownsS
 		physical := ctx.Knobs.PhysicalPartition
-		emit := func(r, s tuple.Tuple) { sink.Match(r, s) }
+		matchRun := sink.MatchRun
 		pull := func() int64 {
 			before := len(curR)
 			curR, rWaiting = rcur.batch(curR, bsz, now, atRest, ownsR, physical)
@@ -181,7 +181,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 			// Join the fresh run pair immediately: early results.
 			pt.timeCount(metrics.PhaseProbe, func() int64 {
 				sink.Refresh()
-				sortmerge.MergeJoin(curR, curS, emit, ctx.Tracer, 0, 0)
+				sortmerge.MergeJoinRuns(curR, curS, matchRun, ctx.Tracer, 0, 0)
 				return int64(len(curR) + len(curS))
 			})
 			ru := run{r: curR, s: curS}
@@ -239,7 +239,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 						fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
 						return
 					}
-					sortmerge.MergeJoin(ri, sj, emit, ctx.Tracer, 0, 0)
+					sortmerge.MergeJoinRuns(ri, sj, matchRun, ctx.Tracer, 0, 0)
 					sink.Refresh()
 				}
 			}

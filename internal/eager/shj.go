@@ -97,13 +97,9 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		}
 		probeR := func() int64 {
 			// ProbeBatch pairs are (stored, probe): stored is the S-side
-			// tuple here, the probe is from R.
+			// tuple here, the probe is from R, so the pairs are swapped.
 			pairs, _ = stab.ProbeBatch(rbuf, pairs[:0])
-			// Slice-advance walk: two tuples per step, bounds-check free
-			// where the stride-2 index walk was not (LINTING.md §BCE).
-			for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-				sink.Match(ps[1], ps[0])
-			}
+			sink.MatchPairs(pairs, true)
 			return int64(len(rbuf))
 		}
 		pullS := func() int64 {
@@ -116,9 +112,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		}
 		probeS := func() int64 {
 			pairs, _ = rtab.ProbeBatch(sbuf, pairs[:0])
-			for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-				sink.Match(ps[0], ps[1])
-			}
+			sink.MatchPairs(pairs, false)
 			return int64(len(sbuf))
 		}
 		stallFn := func() { time.Sleep(stall) }

@@ -104,9 +104,7 @@ func (a NPJ) Run(ctx *core.ExecContext) error {
 			}
 			k.Refresh()
 			pairs, _ = table.ProbeBatch(blk, pairs[:0])
-			for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-				k.Match(ps[0], ps[1])
-			}
+			k.MatchPairs(pairs, false)
 		}
 		ctx.Pool.PutTuples(pairs)
 		ctx.EndPhase(tid)

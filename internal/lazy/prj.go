@@ -176,9 +176,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 					}
 					k.Refresh()
 					pairs, _ = table.ProbeBatchHashed(pblk, hblk, pairs[:0])
-					for ps := pairs; len(ps) >= 2; ps = ps[2:] {
-						k.Match(ps[0], ps[1])
-					}
+					k.MatchPairs(pairs, false)
 				}
 			}
 			ctx.M.MemAdd(-table.MemBytes()) // partition table released

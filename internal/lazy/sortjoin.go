@@ -110,9 +110,7 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 		ctx.Begin(tid, metrics.PhaseProbe)
 		tw.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
 		k := core.NewSink(ctx, tid)
-		sortmerge.MergeJoin(mergedR[tid], mergedS[tid], func(r, s tuple.Tuple) {
-			k.Match(r, s)
-		}, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
+		sortmerge.MergeJoinRuns(mergedR[tid], mergedS[tid], k.MatchRun, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
 		ctx.EndPhase(tid)
 	})
 	// Merged ranges may alias the runs, so the run buffers are recycled

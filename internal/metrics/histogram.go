@@ -18,7 +18,14 @@ type Histogram struct {
 
 const subBuckets = 16
 
-// bucketOf maps a value to its bucket index.
+// bucketMask keeps bucket indices provably inside the counts array;
+// bucketOf never exceeds it, so masking changes no index.
+const bucketMask = len(Histogram{}.counts) - 1
+
+// bucketOf maps a value to its bucket index. Every per-match recording
+// loop calls it, so it must stay inlinable.
+//
+//iawj:inline
 func bucketOf(v int64) int {
 	if v < subBuckets {
 		return int(v) // exact buckets for tiny values
@@ -49,10 +56,13 @@ func (h *Histogram) Record(v, n int64) {
 	if n <= 0 {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bucketOf(v)] += n
+	h.add(max(v, 0), n)
+}
+
+// add is Record for v >= 0 and n > 0, small enough to inline into the
+// once-per-block settling of the match recorders.
+func (h *Histogram) add(v, n int64) {
+	h.counts[bucketOf(v)&bucketMask] += n
 	h.total += n
 	if v > h.maxV {
 		h.maxV = v

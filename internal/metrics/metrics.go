@@ -10,9 +10,12 @@
 package metrics
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/tuple"
 )
 
 // Phase identifies one of the six execution phases of the breakdown.
@@ -99,6 +102,62 @@ func (t *ThreadMetrics) Matches(n int64, nowMs, lastInputMs int64) {
 	}
 	t.latency.Record(lat, n)
 	t.progress.Record(nowMs, n)
+	if nowMs > t.lastMatchMs {
+		t.lastMatchMs = nowMs
+	}
+}
+
+// MatchPairs records the len(ps)/2 matches held as consecutive (r, s)
+// pairs in ps (either orientation; a trailing odd tuple is ignored), all
+// emitted at nowMs. It is the block form of calling Matches(1, nowMs,
+// max(r.TS, s.TS)) once per pair and leaves the same state.
+//
+//iawj:hotpath
+func (t *ThreadMetrics) MatchPairs(ps []tuple.Tuple, nowMs int64) {
+	counts := &t.latency.counts
+	minLast := int64(math.MaxInt64)
+	var n int64
+	for ; len(ps) >= 2; ps = ps[2:] {
+		last := max(ps[0].TS, ps[1].TS)
+		minLast = min(minLast, last)
+		counts[bucketOf(max(nowMs-last, 0))&bucketMask]++
+		n++
+	}
+	t.settle(n, nowMs, minLast)
+}
+
+// MatchRect records the len(rs)·len(ss) matches of one duplicate-key run
+// pair, every r in rs against every s in ss, all emitted at nowMs. It
+// leaves the same state as MatchPairs over the expanded pairs.
+//
+//iawj:hotpath
+func (t *ThreadMetrics) MatchRect(rs, ss []tuple.Tuple, nowMs int64) {
+	counts := &t.latency.counts
+	minLast := int64(math.MaxInt64)
+	for _, r := range rs {
+		for _, s := range ss {
+			last := max(r.TS, s.TS)
+			minLast = min(minLast, last)
+			counts[bucketOf(max(nowMs-last, 0))&bucketMask]++
+		}
+	}
+	t.settle(int64(len(rs))*int64(len(ss)), nowMs, minLast)
+}
+
+// settle books the per-block totals of n matches emitted at nowMs whose
+// latency counts are already in the histogram: the match and latency
+// totals, the latency max (from the smallest last input), the progress
+// histogram and the last match time.
+func (t *ThreadMetrics) settle(n, nowMs, minLast int64) {
+	if n <= 0 {
+		return
+	}
+	t.matches += n
+	t.latency.total += n
+	if lat := max(nowMs-minLast, 0); lat > t.latency.maxV {
+		t.latency.maxV = lat
+	}
+	t.progress.add(max(nowMs, 0), n)
 	if nowMs > t.lastMatchMs {
 		t.lastMatchMs = nowMs
 	}

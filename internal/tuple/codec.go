@@ -62,7 +62,10 @@ func ReadBinary(r io.Reader) (Relation, error) {
 	if n > maxTuples {
 		return nil, fmt.Errorf("tuple: implausible relation size %d", n)
 	}
-	rel := make(Relation, 0, n)
+	// The count is untrusted until the tuples arrive: preallocate at most
+	// a bounded prefix and let append grow with the data actually read,
+	// so a short input claiming a huge count cannot demand gigabytes.
+	rel := make(Relation, 0, min(n, 1<<16))
 	buf := make([]byte, BinarySize)
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {

@@ -18,7 +18,8 @@
 #   8. trace smoke  a scaled-down fig7 sweep with -trace must yield valid
 #                   Chrome trace JSON with spans for every phase
 #   9. fuzz smoke   5s per existing fuzz target on the gen/ingest parsers
-#                   plus the kernel differential fuzzers and the
+#                   plus the kernel differential fuzzers (partitioner,
+#                   batched hash table, merge-join runs) and the
 #                   whole-join conformance fuzzer
 #  10. bench smoke  every BenchmarkKernel* microbenchmark runs once under
 #                   the race detector, so the batched kernels stay
@@ -37,6 +38,11 @@
 #                   examples/specs/, then a short open-loop run of the
 #                   mixed multi-client spec whose journal must carry the
 #                   per-class openloop/* run records (WORKLOADS.md)
+#  14. perfbench smoke  the repository benchmark's own tests (perfbench/,
+#                   a separate module) in perfbench/run.sh's build
+#                   environment: a smoke run of every workload through the
+#                   public API and the per-layer replays, so the program
+#                   keeps every function and option the benchmark calls
 #
 # Any stage failing aborts the gate with a non-zero exit.
 #
@@ -109,6 +115,7 @@ go test -run='^$' -fuzz='^FuzzReadStream$' -fuzztime="$FUZZTIME" ./internal/inge
 go test -run='^$' -fuzz='^FuzzReadBinary$' -fuzztime="$FUZZTIME" ./internal/ingest
 go test -run='^$' -fuzz='^FuzzPartitionerDiff$' -fuzztime="$FUZZTIME" ./internal/radix
 go test -run='^$' -fuzz='^FuzzBatchDiff$' -fuzztime="$FUZZTIME" ./internal/hashtable
+go test -run='^$' -fuzz='^FuzzMergeJoinRuns$' -fuzztime="$FUZZTIME" ./internal/sortmerge
 go test -run='^$' -fuzz='^FuzzConformance$' -fuzztime="$FUZZTIME" ./internal/oracle
 
 step "bench smoke (kernel microbenchmarks, 1x under -race)"
@@ -158,6 +165,9 @@ if [ "$class_lines" -lt 2 ]; then
 fi
 go run ./cmd/iawjreport -self "$loadledger" >/dev/null
 echo "ok ($(ls examples/specs/*.json | wc -l) specs validated, $class_lines class records, self-compare clean)"
+
+step "perfbench smoke (perfbench module tests, run.sh environment)"
+./scripts/perfbench-smoke.sh
 
 stage_done
 printf '\ncheck: all stages passed\n'

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/window"
 )
 
@@ -48,6 +49,11 @@ type WindowResult struct {
 // iawj-journal/v2 window record (windows with input on only one side are
 // skipped — they have no run to summarize).
 func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, error) {
+	// Checked up front: windows with input on one side only never reach
+	// Join, and a bad config must fail however the windows fall.
+	if err := core.CheckThreads(cfg.Threads); err != nil {
+		return nil, err
+	}
 	pairs, err := window.AssignPair(r, s, spec)
 	if err != nil {
 		return nil, err
@@ -84,6 +90,9 @@ func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, e
 func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers int) ([]WindowResult, error) {
 	if workers <= 1 {
 		return JoinWindowed(r, s, spec, cfg)
+	}
+	if err := core.CheckThreads(cfg.Threads); err != nil {
+		return nil, err
 	}
 	pairs, err := window.AssignPair(r, s, spec)
 	if err != nil {

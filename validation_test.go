@@ -1,6 +1,9 @@
 package iawj
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestJoinRejectsUnsortedStreamingInput(t *testing.T) {
 	r := Relation{{TS: 10, Key: 1}, {TS: 0, Key: 1}}
@@ -11,6 +14,46 @@ func TestJoinRejectsUnsortedStreamingInput(t *testing.T) {
 	// At rest, order does not matter: no gating happens.
 	if _, err := Join(r, s, Config{Algorithm: "SHJ_JM", Threads: 1, AtRest: true}); err != nil {
 		t.Fatalf("at-rest input must not require order: %v", err)
+	}
+}
+
+// TestThreadsCap checks the Config.Threads bound at every public entry
+// point: zero means GOMAXPROCS, MaxThreads itself runs, one more is
+// rejected with ErrTooManyThreads before any join starts, even when every
+// window has input on one side only and no join would run.
+func TestThreadsCap(t *testing.T) {
+	r := Relation{{TS: 0, Key: 1}, {TS: 1, Key: 2}, {TS: 12, Key: 1}}
+	s := Relation{{TS: 0, Key: 1}, {TS: 2, Key: 2}, {TS: 13, Key: 1}}
+	spec := WindowSpec{Kind: Tumbling, LengthMs: 10}
+	oneSided := Relation{{TS: 0, Key: 1}}
+	for _, tc := range []struct {
+		name    string
+		threads int
+		wantErr error
+	}{
+		{"zero means GOMAXPROCS", 0, nil},
+		{"at the cap", MaxThreads, nil},
+		{"over the cap", MaxThreads + 1, ErrTooManyThreads},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Algorithm: "SHJ_JM", Threads: tc.threads, AtRest: true}
+			res, err := Join(r, s, cfg)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Join: err = %v, want %v", err, tc.wantErr)
+			}
+			if err == nil && res.Matches != ExpectedMatches(r, s) {
+				t.Fatalf("Join: %d matches, want %d", res.Matches, ExpectedMatches(r, s))
+			}
+			if _, err := JoinWindowed(r, s, spec, cfg); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowed: err = %v, want %v", err, tc.wantErr)
+			}
+			if _, err := JoinWindowed(oneSided, nil, spec, cfg); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowed, one-sided: err = %v, want %v", err, tc.wantErr)
+			}
+			if _, err := JoinWindowedParallel(r, s, spec, cfg, 2); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowedParallel: err = %v, want %v", err, tc.wantErr)
+			}
+		})
 	}
 }
 
