@@ -80,11 +80,14 @@ bench-smoke:
 bench-gate:
 	./scripts/bench.sh -compare BENCH_3.json
 
-## fuzz-smoke: short fuzz run on the gen/ingest parsers + conformance
+## fuzz-smoke: check.sh stage 9's fuzz targets (parsers, journal decoder, kernel differentials, conformance)
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/gen
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStream$$' -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/ingest
+	$(GO) test -run='^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzPartitionerDiff$$' -fuzztime=$(FUZZTIME) ./internal/radix
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchDiff$$' -fuzztime=$(FUZZTIME) ./internal/hashtable
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeJoinRuns$$' -fuzztime=$(FUZZTIME) ./internal/sortmerge
 	$(GO) test -run='^$$' -fuzz='^FuzzConformance$$' -fuzztime=$(FUZZTIME) ./internal/oracle
 

@@ -66,12 +66,12 @@ type Config struct {
 	AtRest bool
 
 	// Algorithm knobs of Section 5.5.
-	RadixBits         int     // PRJ #r (default 10)
+	RadixBits         int     // PRJ #r (default 10, at most MaxRadixBits)
 	SortStepFrac      float64 // PMJ δ (default 0.2)
 	GroupSize         int     // JB g (default 1)
 	PhysicalPartition bool    // eager value-vs-pointer passing
 	SIMD              bool    // vectorized-substitute sort kernels
-	BatchSize         int     // eager pull batch (default 64)
+	BatchSize         int     // eager pull batch (default 64, at most MaxBatchSize)
 	SpillDir          string  // PMJ disk-spill directory ("" = in-memory runs)
 
 	// Objective guides the ADAPTIVE dispatcher (see AdaptiveName); it is
@@ -124,6 +124,17 @@ const MaxThreads = core.MaxThreads
 // drivers when Config.Threads exceeds MaxThreads; match it with
 // errors.Is.
 var ErrTooManyThreads = core.ErrTooManyThreads
+
+// MaxRadixBits and MaxBatchSize cap Config.RadixBits and Config.BatchSize.
+const (
+	MaxRadixBits = core.MaxRadixBits
+	MaxBatchSize = core.MaxBatchSize
+)
+
+// ErrKnobOutOfRange is returned, wrapped, by Join and the JoinWindowed*
+// drivers when an algorithm knob exceeds its cap; match it with
+// errors.Is.
+var ErrKnobOutOfRange = core.ErrKnobOutOfRange
 
 // WindowTag identifies the source window of a windowed-sweep run; see
 // Config.Window.
@@ -232,22 +243,35 @@ func Join(r, s Relation, cfg Config) (Result, error) {
 		Threads:    cfg.Threads,
 		NsPerSimMs: cfg.NsPerSimMs,
 		AtRest:     cfg.AtRest,
-		Knobs: core.Knobs{
-			RadixBits:         cfg.RadixBits,
-			SortStepFrac:      cfg.SortStepFrac,
-			GroupSize:         cfg.GroupSize,
-			PhysicalPartition: cfg.PhysicalPartition,
-			SIMD:              cfg.SIMD,
-			BatchSize:         cfg.BatchSize,
-			SpillDir:          cfg.SpillDir,
-		},
-		Tracer:    cfg.Tracer,
-		Trace:     cfg.Trace,
-		Emit:      cfg.Emit,
-		Pool:      cfg.Pool,
-		WrapClock: cfg.WrapClock,
-		Window:    cfg.Window,
+		Knobs:      cfg.knobs(),
+		Tracer:     cfg.Tracer,
+		Trace:      cfg.Trace,
+		Emit:       cfg.Emit,
+		Pool:       cfg.Pool,
+		WrapClock:  cfg.WrapClock,
+		Window:     cfg.Window,
 	})
+}
+
+// knobs extracts the algorithm knobs core.Run takes.
+func (cfg Config) knobs() core.Knobs {
+	return core.Knobs{
+		RadixBits:         cfg.RadixBits,
+		SortStepFrac:      cfg.SortStepFrac,
+		GroupSize:         cfg.GroupSize,
+		PhysicalPartition: cfg.PhysicalPartition,
+		SIMD:              cfg.SIMD,
+		BatchSize:         cfg.BatchSize,
+		SpillDir:          cfg.SpillDir,
+	}
+}
+
+// check rejects a Config that core.Run would reject whatever the input.
+func (cfg Config) check() error {
+	if err := core.CheckThreads(cfg.Threads); err != nil {
+		return err
+	}
+	return cfg.knobs().Check()
 }
 
 // ExpectedMatches computes the exact number of intra-window join matches

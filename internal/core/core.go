@@ -59,7 +59,8 @@ func (m JoinMethod) String() string {
 // Knobs carries the per-algorithm tuning parameters studied in Section 5.5.
 type Knobs struct {
 	// RadixBits is PRJ's #r (Figure 18). Zero selects the default (10,
-	// the experimentally determined sweet spot on the paper's machine).
+	// the experimentally determined sweet spot on the paper's machine);
+	// values above MaxRadixBits are rejected.
 	RadixBits int
 	// SortStepFrac is PMJ's δ as a fraction of the expected input per
 	// stream (Figure 15). Zero selects the default 0.2 (20%).
@@ -73,7 +74,8 @@ type Knobs struct {
 	// SIMD toggles the vectorized-substitute sort kernels (Figure 21).
 	SIMD bool
 	// BatchSize bounds how many tuples an eager worker pulls from one
-	// stream before re-checking the other; default 64.
+	// stream before re-checking the other; default 64, values above
+	// MaxBatchSize are rejected.
 	BatchSize int
 	// SpillDir, when non-empty, makes PMJ write sealed runs to disk in
 	// this directory and re-read them during the merge phase — the
@@ -119,10 +121,10 @@ type ExecContext struct {
 	// Tracer, when non-nil, feeds the cache simulator; profile runs are
 	// single-threaded so the trace is deterministic.
 	Tracer cachesim.Tracer
-	// Trace, when non-nil, records per-worker phase spans (OBSERVABILITY.md).
-	// Disabled tracing is free: TraceWorker returns a nil handle whose
-	// methods are no-ops, so the hot path carries no branch and no
-	// allocation per span.
+	// Trace, when non-nil, records per-worker phase spans (OBSERVABILITY.md)
+	// through each worker's PhaseClock. Disabled tracing is free: the
+	// clock holds a nil span handle whose methods are no-ops, so a
+	// transition allocates nothing either way.
 	Trace *trace.Recorder
 	// Emit materializes join outputs; nil counts only (the paper
 	// measures the join process, not downstream consumption). Emit may
@@ -138,51 +140,15 @@ type ExecContext struct {
 // NowMs returns the current simulated time.
 func (ctx *ExecContext) NowMs() int64 { return ctx.Clock.NowMs() }
 
-// SetPhase forwards a phase transition to a phase-aware tracer so profile
-// runs can attribute cache statistics per phase (Figure 8).
-func (ctx *ExecContext) SetPhase(p metrics.Phase) {
-	if ps, ok := ctx.Tracer.(cachesim.PhaseSetter); ok {
-		ps.SetPhase(int(p))
-	}
-}
-
-// Begin switches worker tid into phase p, updating the time breakdown,
-// the span trace, and, if attached, the phase-aware cache tracer.
-func (ctx *ExecContext) Begin(tid int, p metrics.Phase) {
-	ctx.M.T(tid).Begin(p)
-	if ctx.Trace != nil {
-		ctx.Trace.T(tid).Begin(int(p))
-	}
-	if ctx.Tracer != nil {
-		ctx.SetPhase(p)
-	}
-}
-
-// EndPhase closes worker tid's current phase in both the time breakdown
-// and the span trace; workers call it once when they finish.
-func (ctx *ExecContext) EndPhase(tid int) {
-	ctx.M.T(tid).End()
-	if ctx.Trace != nil {
-		ctx.Trace.T(tid).End()
-	}
-}
-
-// TraceWorker returns worker tid's span-recording handle; nil (an inert,
-// method-safe handle) when tracing is disabled.
-func (ctx *ExecContext) TraceWorker(tid int) *trace.Worker {
-	if ctx.Trace == nil {
-		return nil
-	}
-	return ctx.Trace.T(tid)
-}
-
 // Avail reports whether a tuple with timestamp ts has arrived.
 func (ctx *ExecContext) Avail(ts int64) bool { return ctx.Clock.Avail(ts) }
 
 // WaitWindow blocks until the window has fully arrived, crediting the
-// elapsed time to the wait phase of thread tid. Lazy algorithms call this
-// before processing; for data at rest it returns immediately.
-func (ctx *ExecContext) WaitWindow(tid int) {
+// elapsed time to the wait phase of the worker's phase clock pc. Lazy
+// algorithms call this before processing; the wait stretch stays open
+// until their next Begin closes it. For data at rest it returns
+// immediately and opens no phase.
+func (ctx *ExecContext) WaitWindow(pc *PhaseClock) {
 	if ctx.Clock.AtRest() {
 		return
 	}
@@ -193,15 +159,10 @@ func (ctx *ExecContext) WaitWindow(tid int) {
 	if ctx.WindowMs > last {
 		last = ctx.WindowMs
 	}
-	tm := ctx.M.T(tid)
-	tw := ctx.TraceWorker(tid)
-	tm.Begin(metrics.PhaseWait)
-	tw.Begin(int(metrics.PhaseWait))
+	pc.Begin(metrics.PhaseWait)
 	for !ctx.Clock.Avail(last) {
 		time.Sleep(50 * time.Microsecond)
 	}
-	tm.End()
-	tw.End()
 }
 
 // Chunk returns the [lo, hi) bounds of thread tid's equisized portion of n
@@ -286,6 +247,32 @@ func CheckThreads(n int) error {
 	return nil
 }
 
+// MaxRadixBits caps Knobs.RadixBits at the top of the Figure 18 sweep.
+// PRJ's fan-out is 1<<RadixBits and every partitioner keeps per-partition
+// state, so the fan-out grows memory exponentially; at 64 bits it wraps
+// to 0 and partitioning indexes an empty histogram.
+const MaxRadixBits = 18
+
+// MaxBatchSize caps Knobs.BatchSize. Every eager worker preallocates its
+// pull and match buffers at this size (four batches of 16-byte tuples,
+// 1 MiB per worker at the cap), 256 times the default batch.
+const MaxBatchSize = 1 << 14
+
+// ErrKnobOutOfRange is returned for a Knobs value above its cap.
+var ErrKnobOutOfRange = errors.New("core: knob out of range")
+
+// Check rejects knob values above their caps. Zero and negative values
+// select the defaults and pass.
+func (k Knobs) Check() error {
+	if k.RadixBits > MaxRadixBits {
+		return fmt.Errorf("%w: RadixBits %d exceeds the cap of %d", ErrKnobOutOfRange, k.RadixBits, MaxRadixBits)
+	}
+	if k.BatchSize > MaxBatchSize {
+		return fmt.Errorf("%w: BatchSize %d exceeds the cap of %d", ErrKnobOutOfRange, k.BatchSize, MaxBatchSize)
+	}
+	return nil
+}
+
 // Run executes alg over one window of r and s and returns the merged
 // metrics.
 func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (metrics.Result, error) {
@@ -293,6 +280,9 @@ func Run(alg Algorithm, r, s tuple.Relation, windowMs int64, cfg RunConfig) (met
 		return metrics.Result{}, ErrNoAlgorithm
 	}
 	if err := CheckThreads(cfg.Threads); err != nil {
+		return metrics.Result{}, err
+	}
+	if err := cfg.Knobs.Check(); err != nil {
 		return metrics.Result{}, err
 	}
 	if !cfg.AtRest && (!r.SortedByTS() || !s.SortedByTS()) {

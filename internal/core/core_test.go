@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,7 +220,9 @@ func TestWaitWindowBlocksUntilArrival(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		ctx.WaitWindow(0)
+		pc := NewPhaseClock(ctx, 0)
+		ctx.WaitWindow(&pc)
+		pc.End()
 		close(done)
 	}()
 	select {
@@ -269,6 +272,29 @@ func TestRunRejectsTooManyThreads(t *testing.T) {
 	}
 }
 
+func TestRunRejectsOutOfRangeKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		knobs   Knobs
+		wantErr error
+	}{
+		{Knobs{RadixBits: MaxRadixBits, BatchSize: MaxBatchSize}, nil},
+		{Knobs{RadixBits: -1, BatchSize: -1}, nil}, // defaults
+		{Knobs{RadixBits: MaxRadixBits + 1}, ErrKnobOutOfRange},
+		{Knobs{RadixBits: 64}, ErrKnobOutOfRange},
+		{Knobs{BatchSize: MaxBatchSize + 1}, ErrKnobOutOfRange},
+		{Knobs{BatchSize: 1 << 40}, ErrKnobOutOfRange},
+	} {
+		ran := false
+		_, err := Run(countAlg{&ran}, nil, nil, 10, RunConfig{Threads: 1, AtRest: true, Knobs: tc.knobs})
+		if !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%+v: err = %v, want %v", tc.knobs, err, tc.wantErr)
+		}
+		if ran != (tc.wantErr == nil) {
+			t.Fatalf("%+v: ran = %v", tc.knobs, ran)
+		}
+	}
+}
+
 type phaseRecorder struct {
 	phases []int
 }
@@ -285,9 +311,14 @@ func TestBeginForwardsPhaseToTracer(t *testing.T) {
 		M:       metrics.NewCollector(1),
 		Tracer:  rec,
 	}
-	ctx.Begin(0, metrics.PhaseProbe)
-	ctx.Begin(0, metrics.PhaseMerge)
-	if len(rec.phases) != 2 || rec.phases[0] != int(metrics.PhaseProbe) || rec.phases[1] != int(metrics.PhaseMerge) {
-		t.Fatalf("phases = %v", rec.phases)
+	pc := NewPhaseClock(ctx, 0)
+	pc.Begin(metrics.PhaseProbe)
+	pc.Begin(metrics.PhaseProbe) // already open: no transition
+	pc.Begin(metrics.PhaseMerge)
+	pc.End()
+	pc.End() // nothing open: no transition
+	want := []int{int(metrics.PhaseProbe), int(metrics.PhaseMerge), -1}
+	if !slices.Equal(rec.phases, want) {
+		t.Fatalf("phases = %v, want %v", rec.phases, want)
 	}
 }

@@ -15,10 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/tuple"
 )
 
@@ -226,37 +223,4 @@ func parallel(threads int, fn func(tid int)) {
 		}(t)
 	}
 	wg.Wait()
-}
-
-// phaseTimer measures sub-batch phases with explicit start/stop pairs so
-// the eager loops avoid two Begin calls per tuple. Each measured stretch
-// is also published as one trace span through the worker's preallocated
-// ring (tw is nil — and free — when tracing is disabled).
-type phaseTimer struct {
-	tm  *metrics.ThreadMetrics
-	ctx *core.ExecContext
-	tw  *trace.Worker
-}
-
-// newPhaseTimer binds the timer to worker tid's metrics and trace handles.
-func newPhaseTimer(ctx *core.ExecContext, tid int) phaseTimer {
-	return phaseTimer{tm: ctx.M.T(tid), ctx: ctx, tw: ctx.TraceWorker(tid)}
-}
-
-func (p phaseTimer) time(ph metrics.Phase, fn func()) {
-	p.timeCount(ph, func() int64 { fn(); return 0 })
-}
-
-// timeCount measures fn like time and attributes its returned tuple count
-// to the published span.
-func (p phaseTimer) timeCount(ph metrics.Phase, fn func() int64) {
-	if p.ctx.Tracer != nil {
-		p.ctx.SetPhase(ph)
-	}
-	start := p.tw.NowNs()
-	sw := clock.StartStopwatch()
-	n := fn()
-	d := sw.ElapsedNs()
-	p.tm.AddPhaseNs(ph, d)
-	p.tw.Record(int(ph), start, d, n)
 }

@@ -53,10 +53,11 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 
 	for c := 0; c < cells; c++ {
 		go func(cell int) {
+			pc := core.NewPhaseClock(ctx, cell)
 			sink := core.NewSink(ctx, cell)
 			var rStore, sStore []tuple.Tuple
 			for msg := range chans[cell] {
-				ctx.Begin(cell, metrics.PhaseProbe)
+				pc.Begin(metrics.PhaseProbe)
 				if msg.fromR {
 					for _, s := range sStore {
 						if s.Key == msg.t.Key {
@@ -70,7 +71,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 						}
 					}
 				}
-				ctx.Begin(cell, metrics.PhaseBuildSort)
+				pc.Begin(metrics.PhaseBuildSort)
 				if msg.store == cell {
 					if msg.fromR {
 						rStore = append(rStore, msg.t)
@@ -79,7 +80,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 					}
 					ctx.M.MemAdd(16)
 				}
-				ctx.Begin(cell, metrics.PhaseOther)
+				pc.Begin(metrics.PhaseOther)
 				// Forward along the flow direction; R flows to higher
 				// cells, S to lower.
 				next := cell + 1
@@ -92,7 +93,7 @@ func (Handshake) Run(ctx *core.ExecContext) error {
 				}
 				chans[next] <- msg
 			}
-			ctx.EndPhase(cell)
+			pc.End()
 			done <- struct{}{}
 		}(c)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sortmerge"
@@ -121,7 +122,7 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 	}
 
 	parallel(ctx.Threads, func(tid int) {
-		pt := newPhaseTimer(ctx, tid)
+		pc := core.NewPhaseClock(ctx, tid)
 		dist := makeDist(a.JB, ctx, tid)
 		sink := core.NewSink(ctx, tid)
 
@@ -148,49 +149,34 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		rcur := &cursor{rel: ctx.R, tracer: ctx.Tracer, base: 1 << 47}
 		scur := &cursor{rel: ctx.S, tracer: ctx.Tracer, base: 1<<47 | 1<<45}
 
-		// Hoisted loop state and closures: the accumulate loop and the
-		// merge-phase scan reuse these instead of constructing fresh
-		// closures every iteration.
-		var now int64
-		var rWaiting, sWaiting bool
-		nR, nS := 0, 0
+		// The ownership predicates and the run callback are bound once
+		// per worker: binding them per round would allocate on every
+		// iteration.
 		ownsR, ownsS := dist.ownsR, dist.ownsS
 		physical := ctx.Knobs.PhysicalPartition
 		matchRun := sink.MatchRun
-		pull := func() int64 {
-			before := len(curR)
-			curR, rWaiting = rcur.batch(curR, bsz, now, atRest, ownsR, physical)
-			nR = len(curR) - before
-			before = len(curS)
-			curS, sWaiting = scur.batch(curS, bsz, now, atRest, ownsS, physical)
-			nS = len(curS) - before
-			return int64(nR + nS)
-		}
-		stallFn := func() { time.Sleep(stall) }
 
 		seal := func() {
 			if len(curR) == 0 && len(curS) == 0 {
 				return
 			}
+			n := int64(len(curR) + len(curS))
 			// Sort the accumulated subsets into a run pair.
-			pt.timeCount(metrics.PhaseBuildSort, func() int64 {
-				sortmerge.SortByKey(curR, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24)
-				sortmerge.SortByKey(curS, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24|1<<23)
-				return int64(len(curR) + len(curS))
-			})
+			pc.Begin(metrics.PhaseBuildSort)
+			sortmerge.SortByKey(curR, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24)
+			sortmerge.SortByKey(curS, ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<40|uint64(len(runs))<<24|1<<23)
+			pc.AddTuples(n)
 			// Join the fresh run pair immediately: early results.
-			pt.timeCount(metrics.PhaseProbe, func() int64 {
-				sink.Refresh()
-				sortmerge.MergeJoinRuns(curR, curS, matchRun, ctx.Tracer, 0, 0)
-				return int64(len(curR) + len(curS))
-			})
+			pc.Begin(metrics.PhaseProbe)
+			sink.Refresh()
+			sortmerge.MergeJoinRuns(curR, curS, matchRun, ctx.Tracer, 0, 0)
+			pc.AddTuples(n)
 			ru := run{r: curR, s: curS}
 			if spillDir != "" {
-				pt.time(metrics.PhaseOther, func() {
-					if err := ru.spill(spillDir); err != nil {
-						fail(fmt.Errorf("eager: pmj spill: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-					}
-				})
+				pc.Begin(metrics.PhaseOther)
+				if err := ru.spill(spillDir); err != nil {
+					fail(fmt.Errorf("eager: pmj spill: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
+				}
 			} else {
 				ctx.M.MemAdd(int64(len(curR)+len(curS)) * 16)
 			}
@@ -202,15 +188,21 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		}
 
 		for !rcur.done() || !scur.done() {
-			now = ctx.NowMs()
-			rWaiting, sWaiting = false, false
-			pt.timeCount(metrics.PhasePartition, pull)
+			now := ctx.NowMs()
+			pc.Begin(metrics.PhasePartition)
+			var rWaiting, sWaiting bool
+			nR, nS := len(curR), len(curS)
+			curR, rWaiting = rcur.batch(curR, bsz, now, atRest, ownsR, physical)
+			curS, sWaiting = scur.batch(curS, bsz, now, atRest, ownsS, physical)
+			nR, nS = len(curR)-nR, len(curS)-nS
+			pc.AddTuples(int64(nR + nS))
 			if len(curR)+len(curS) >= step {
 				//lint:allow hotpathalloc seal runs once per sealed run, not per tuple
 				seal()
 			}
 			if nR == 0 && nS == 0 && (rWaiting || sWaiting) {
-				pt.time(metrics.PhaseWait, stallFn)
+				pc.Begin(metrics.PhaseWait)
+				time.Sleep(stall)
 			}
 		}
 		seal() // the final partial run
@@ -219,34 +211,37 @@ func (a PMJ) Run(ctx *core.ExecContext) error {
 		// of subsets (run i's R against run j's S for i != j; the i == j
 		// pairs were joined when sealed). Spilled runs are re-read here,
 		// paying the original PMJ's disk revisit cost.
-		pt.time(metrics.PhaseMerge, func() {
-			sink.Refresh()
-			// Shadow the captured slice: indexing the closure variable
-			// directly re-checks bounds per run (LINTING.md §BCE).
-			rs := runs
-			for i := range rs {
-				ri, _, err := rs[i].load()
-				if err != nil {
-					fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-					return
-				}
-				for j := range rs {
-					if i == j {
-						continue
-					}
-					_, sj, err := rs[j].load()
-					if err != nil {
-						fail(fmt.Errorf("eager: pmj reload: %w", err)) //lint:allow hotpathalloc error path, not per-tuple
-						return
-					}
-					sortmerge.MergeJoinRuns(ri, sj, matchRun, ctx.Tracer, 0, 0)
-					sink.Refresh()
-				}
-			}
-		})
+		pc.Begin(metrics.PhaseMerge)
+		sink.Refresh()
+		if err := mergeRuns(runs, matchRun, sink, ctx.Tracer); err != nil {
+			fail(err)
+		}
 		ctx.M.MemAdd(dist.statusBytes())
-		ctx.EndPhase(tid)
+		pc.End()
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return firstErr
+}
+
+// mergeRuns joins every stored run's R against every other run's S (the
+// i == j pairs were joined when sealed), re-reading spilled runs.
+func mergeRuns(runs []run, matchRun func(rs, ss []tuple.Tuple), sink *core.Sink, tracer cachesim.Tracer) error {
+	for i := range runs {
+		ri, _, err := runs[i].load()
+		if err != nil {
+			return fmt.Errorf("eager: pmj reload: %w", err)
+		}
+		for j := range runs {
+			if i == j {
+				continue
+			}
+			_, sj, err := runs[j].load()
+			if err != nil {
+				return fmt.Errorf("eager: pmj reload: %w", err)
+			}
+			sortmerge.MergeJoinRuns(ri, sj, matchRun, tracer, 0, 0)
+			sink.Refresh()
+		}
+	}
+	return nil
 }

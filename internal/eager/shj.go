@@ -48,9 +48,10 @@ func (SHJ) validate(ctx *core.ExecContext) error {
 }
 
 // Run implements core.Algorithm. The worker loop is the interleaved
-// build/probe inner loop of Figure 1a. All phase closures and ownership
-// predicates are constructed once per worker, outside the round loop —
-// constructing them per round would allocate on every iteration.
+// build/probe inner loop of Figure 1a. The ownership predicates are bound
+// once per worker, outside the round loop — binding them per round would
+// allocate on every iteration. Each phase of a round is one Begin on the
+// worker's phase clock, so the phase stretches cover the whole loop.
 //
 //iawj:hotpath
 func (a SHJ) Run(ctx *core.ExecContext) error {
@@ -61,7 +62,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 	bsz := batchSize(ctx)
 
 	parallel(ctx.Threads, func(tid int) {
-		pt := newPhaseTimer(ctx, tid)
+		pc := core.NewPhaseClock(ctx, tid)
 		dist := makeDist(a.JB, ctx, tid)
 		sink := core.NewSink(ctx, tid)
 
@@ -81,65 +82,50 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		pairs := ctx.Pool.Tuples(2 * bsz)
 		rounds := 0
 
-		// Hoisted loop state and phase closures: the round loop reuses
-		// these instead of constructing fresh closures every iteration.
-		var now int64
-		var rWaiting, sWaiting bool
 		ownsR, ownsS := dist.ownsR, dist.ownsS
 		physical := ctx.Knobs.PhysicalPartition
-		pullR := func() int64 {
-			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, now, atRest, ownsR, physical)
-			return int64(len(rbuf))
-		}
-		buildR := func() int64 {
-			rtab.InsertBatch(rbuf)
-			return int64(len(rbuf))
-		}
-		probeR := func() int64 {
-			// ProbeBatch pairs are (stored, probe): stored is the S-side
-			// tuple here, the probe is from R, so the pairs are swapped.
-			pairs, _ = stab.ProbeBatch(rbuf, pairs[:0])
-			sink.MatchPairs(pairs, true)
-			return int64(len(rbuf))
-		}
-		pullS := func() int64 {
-			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, now, atRest, ownsS, physical)
-			return int64(len(sbuf))
-		}
-		buildS := func() int64 {
-			stab.InsertBatch(sbuf)
-			return int64(len(sbuf))
-		}
-		probeS := func() int64 {
-			pairs, _ = rtab.ProbeBatch(sbuf, pairs[:0])
-			sink.MatchPairs(pairs, false)
-			return int64(len(sbuf))
-		}
-		stallFn := func() { time.Sleep(stall) }
 
 		for !rcur.done() || !scur.done() {
-			now = ctx.NowMs()
+			now := ctx.NowMs()
 			sink.Refresh()
-			rWaiting, sWaiting = false, false
 
 			// Pull a batch from R: insert into the R table, probe the
 			// S table (interleaved build and probe).
-			pt.timeCount(metrics.PhasePartition, pullR)
+			pc.Begin(metrics.PhasePartition)
+			var rWaiting, sWaiting bool
+			rbuf, rWaiting = rcur.batch(rbuf[:0], bsz, now, atRest, ownsR, physical)
+			pc.AddTuples(int64(len(rbuf)))
 			if len(rbuf) > 0 {
-				pt.timeCount(metrics.PhaseBuildSort, buildR)
-				pt.timeCount(metrics.PhaseProbe, probeR)
+				pc.Begin(metrics.PhaseBuildSort)
+				rtab.InsertBatch(rbuf)
+				pc.AddTuples(int64(len(rbuf)))
+				// ProbeBatch pairs are (stored, probe): stored is the
+				// S-side tuple here, the probe is from R, so the pairs
+				// are swapped.
+				pc.Begin(metrics.PhaseProbe)
+				pairs, _ = stab.ProbeBatch(rbuf, pairs[:0])
+				sink.MatchPairs(pairs, true)
+				pc.AddTuples(int64(len(rbuf)))
 			}
 
 			// Then alternate: pull a batch from S.
-			pt.timeCount(metrics.PhasePartition, pullS)
+			pc.Begin(metrics.PhasePartition)
+			sbuf, sWaiting = scur.batch(sbuf[:0], bsz, now, atRest, ownsS, physical)
+			pc.AddTuples(int64(len(sbuf)))
 			if len(sbuf) > 0 {
-				pt.timeCount(metrics.PhaseBuildSort, buildS)
-				pt.timeCount(metrics.PhaseProbe, probeS)
+				pc.Begin(metrics.PhaseBuildSort)
+				stab.InsertBatch(sbuf)
+				pc.AddTuples(int64(len(sbuf)))
+				pc.Begin(metrics.PhaseProbe)
+				pairs, _ = rtab.ProbeBatch(sbuf, pairs[:0])
+				sink.MatchPairs(pairs, false)
+				pc.AddTuples(int64(len(sbuf)))
 			}
 
 			if len(rbuf) == 0 && len(sbuf) == 0 && (rWaiting || sWaiting) {
 				// Consumed faster than arrival: the worker stalls.
-				pt.time(metrics.PhaseWait, stallFn)
+				pc.Begin(metrics.PhaseWait)
+				time.Sleep(stall)
 			}
 
 			rounds++
@@ -157,7 +143,7 @@ func (a SHJ) Run(ctx *core.ExecContext) error {
 		ctx.Pool.PutTuples(pairs)
 		ctx.Pool.PutTable(rtab)
 		ctx.Pool.PutTable(stab)
-		ctx.EndPhase(tid)
+		pc.End()
 	})
 	ctx.M.MemSampleNow(ctx.NowMs())
 	return nil

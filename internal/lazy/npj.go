@@ -72,21 +72,21 @@ func (a NPJ) Run(ctx *core.ExecContext) error {
 	barrier.Add(ctx.Threads)
 
 	parallel(ctx.Threads, func(tid int) {
-		tw := ctx.TraceWorker(tid)
-		ctx.WaitWindow(tid)
+		pc := core.NewPhaseClock(ctx, tid)
+		ctx.WaitWindow(&pc)
 
-		ctx.Begin(tid, metrics.PhaseBuildSort)
+		pc.Begin(metrics.PhaseBuildSort)
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		pc.AddTuples(int64(hi - lo))
 		table.InsertBatch(ctx.R[lo:hi])
-		ctx.Begin(tid, metrics.PhaseOther)
+		pc.Begin(metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait() // build/probe barrier as in the original NPJ
 
-		ctx.Begin(tid, metrics.PhaseProbe)
+		pc.Begin(metrics.PhaseProbe)
 		k := core.NewSink(ctx, tid)
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		pc.AddTuples(int64(hi - lo))
 		chunk := ctx.S[lo:hi]
 		pairs := ctx.Pool.Tuples(2 * matchBatch)
 		// Constant-length blocks with a short final block; the match walk
@@ -107,7 +107,7 @@ func (a NPJ) Run(ctx *core.ExecContext) error {
 			k.MatchPairs(pairs, false)
 		}
 		ctx.Pool.PutTuples(pairs)
-		ctx.EndPhase(tid)
+		pc.End()
 	})
 	ctx.M.MemAdd(table.MemBytes() - baseMem) // overflow chains grown at build
 	ctx.M.MemSampleNow(ctx.NowMs())

@@ -69,17 +69,17 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 	barrier.Add(ctx.Threads)
 
 	parallel(ctx.Threads, func(tid int) {
-		tw := ctx.TraceWorker(tid)
-		ctx.WaitWindow(tid)
+		pc := core.NewPhaseClock(ctx, tid)
+		ctx.WaitWindow(&pc)
 
 		// Phase 1: physically partition this thread's chunks with the
 		// SWWCB kernel, hashing each key once.
-		ctx.Begin(tid, metrics.PhasePartition)
+		pc.Begin(metrics.PhasePartition)
 		pr := ctx.Pool.Partitioner()
 		ps := ctx.Pool.Partitioner()
 		parters[2*tid], parters[2*tid+1] = pr, ps
 		lo, hi := core.Chunk(len(ctx.R), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		pc.AddTuples(int64(hi - lo))
 		if fuse {
 			tabsR = pr.PartitionBuild(ctx.R, bits, func(n int) *hashtable.Table {
 				return ctx.Pool.Table(n, bits)
@@ -88,14 +88,14 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			partsR[tid], hashR[tid] = pr.PartitionHashed(ctx.R[lo:hi], bits, ctx.Tracer, 0)
 		}
 		lo, hi = core.Chunk(len(ctx.S), ctx.Threads, tid)
-		tw.AddTuples(int64(hi - lo))
+		pc.AddTuples(int64(hi - lo))
 		partsS[tid], hashS[tid] = ps.PartitionHashed(ctx.S[lo:hi], bits, ctx.Tracer, 1<<34)
 		cp := int64(hi-lo) * 16 * 2 // physical copies of both inputs
 		if fuse {
 			cp = int64(hi-lo) * 16 // fused build makes no R copy
 		}
 		ctx.M.MemAdd(cp)
-		ctx.Begin(tid, metrics.PhaseOther)
+		pc.Begin(metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait()
 
@@ -111,7 +111,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				// partition index below needs (LINTING.md §BCE).
 				break
 			}
-			ctx.Begin(tid, metrics.PhaseBuildSort)
+			pc.Begin(metrics.PhaseBuildSort)
 			var table *hashtable.Table
 			if fuse {
 				// Build already happened inside the fused scatter.
@@ -121,7 +121,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				if table = tabsR[p]; table == nil {
 					continue
 				}
-				tw.AddTuples(table.Size())
+				pc.AddTuples(table.Size())
 			} else {
 				nR := 0
 				for t := range partsR {
@@ -132,7 +132,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				if nR == 0 {
 					continue
 				}
-				tw.AddTuples(int64(nR))
+				pc.AddTuples(int64(nR))
 				table = ctx.Pool.Table(nR, bits)
 				if ctx.Tracer != nil {
 					table.SetTracer(ctx.Tracer, uint64(p)<<22|1<<40)
@@ -150,7 +150,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			}
 			ctx.M.MemAdd(table.MemBytes())
 
-			ctx.Begin(tid, metrics.PhaseProbe)
+			pc.Begin(metrics.PhaseProbe)
 			k.Refresh()
 			for t := range partsS {
 				if t >= len(hashS) {
@@ -162,7 +162,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 				}
 				probes := pst[p]
 				hashes := hst[p]
-				tw.AddTuples(int64(len(probes)))
+				pc.AddTuples(int64(len(probes)))
 				// Constant-length blocks with a short final block; the
 				// match walk advances a slice two tuples at a time
 				// (LINTING.md §BCE).
@@ -183,7 +183,7 @@ func (PRJ) Run(ctx *core.ExecContext) error {
 			ctx.Pool.PutTable(table)
 		}
 		ctx.Pool.PutTuples(pairs)
-		ctx.EndPhase(tid)
+		pc.End()
 	})
 	// The partition slices alias the partitioners' buffers; every worker
 	// is done with them now.

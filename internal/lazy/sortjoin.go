@@ -66,34 +66,34 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 	barrier.Add(tcount)
 
 	parallel(tcount, func(tid int) {
-		tw := ctx.TraceWorker(tid)
-		ctx.WaitWindow(tid)
+		pc := core.NewPhaseClock(ctx, tid)
+		ctx.WaitWindow(&pc)
 
 		// Partition: take a physical copy of the equisized chunk so
 		// sorting leaves caller data intact (the physical partitioning
 		// step of MWay/MPass).
-		ctx.Begin(tid, metrics.PhasePartition)
+		pc.Begin(metrics.PhasePartition)
 		lo, hi := core.Chunk(len(ctx.R), tcount, tid)
 		runsR[tid] = ctx.Pool.Tuples(hi - lo)[:hi-lo]
 		copy(runsR[tid], ctx.R[lo:hi])
 		lo, hi = core.Chunk(len(ctx.S), tcount, tid)
 		runsS[tid] = ctx.Pool.Tuples(hi - lo)[:hi-lo]
 		copy(runsS[tid], ctx.S[lo:hi])
-		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
+		pc.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		ctx.M.MemAdd(int64(len(runsR[tid])+len(runsS[tid])) * 16)
 
 		// Sort the local runs.
-		ctx.Begin(tid, metrics.PhaseBuildSort)
-		tw.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
+		pc.Begin(metrics.PhaseBuildSort)
+		pc.AddTuples(int64(len(runsR[tid]) + len(runsS[tid])))
 		sortmerge.SortByKey(runsR[tid], ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32)
 		sortmerge.SortByKey(runsS[tid], ctx.Knobs.SIMD, ctx.Tracer, uint64(tid)<<32|1<<31)
-		ctx.Begin(tid, metrics.PhaseOther)
+		pc.Begin(metrics.PhaseOther)
 		barrier.Done()
 		barrier.Wait()
 		splitOnce.Do(func() { splitters = computeSplitters(runsR, runsS, tcount) })
 
 		// Merge this thread's key range across all runs.
-		ctx.Begin(tid, metrics.PhaseMerge)
+		pc.Begin(metrics.PhaseMerge)
 		sliceR := rangeSlices(runsR, splitters, tid)
 		sliceS := rangeSlices(runsS, splitters, tid)
 		if multiway {
@@ -103,15 +103,15 @@ func runSortJoin(ctx *core.ExecContext, multiway bool) error {
 			mergedR[tid] = sortmerge.TwoWayMergePasses(sliceR, ctx.Knobs.SIMD)
 			mergedS[tid] = sortmerge.TwoWayMergePasses(sliceS, ctx.Knobs.SIMD)
 		}
-		tw.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
+		pc.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
 		ctx.M.MemAdd(int64(len(mergedR[tid])+len(mergedS[tid])) * 16)
 
 		// Match the aligned key range with a single-pass merge join.
-		ctx.Begin(tid, metrics.PhaseProbe)
-		tw.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
+		pc.Begin(metrics.PhaseProbe)
+		pc.AddTuples(int64(len(mergedR[tid]) + len(mergedS[tid])))
 		k := core.NewSink(ctx, tid)
 		sortmerge.MergeJoinRuns(mergedR[tid], mergedS[tid], k.MatchRun, ctx.Tracer, uint64(tid)<<33, uint64(tid)<<33|1<<32)
-		ctx.EndPhase(tid)
+		pc.End()
 	})
 	// Merged ranges may alias the runs, so the run buffers are recycled
 	// only after every worker has finished matching.

@@ -147,7 +147,7 @@ func RuleNames() []string {
 // catalogue summary; this is the paragraph a reviewer reads before writing
 // a //lint:allow.
 var Contracts = map[string]string{
-	"determinism":    "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock and the metrics harness; derive time from the run ledger and randomness from the seeded workload spec.",
+	"determinism":    "Replays and golden files require run-to-run byte stability. Wall-clock reads (time.Now) and unseeded randomness are banned outside internal/clock, the one wall-clock wrapper (phase time reaches the metrics harness only through core.PhaseClock's Stopwatch); derive time from the run ledger and randomness from the seeded workload spec.",
 	"lockdiscipline": "Every mutex acquire must have a statically-paired release on all paths: defer immediately after Lock, or an unlock on every return. A leaked lock in a partition worker deadlocks the barrier, which presents as a hang, not a failure.",
 	"goroutineleak":  "Worker goroutines must be joined: every `go` statement needs a matching WaitGroup.Add/Done or a bounded channel join. Leaked workers skew the next measurement window's CPU accounting.",
 	"hotpathalloc":   "//iawj:hotpath bodies must not allocate per iteration: no captured-slice append, fmt.Sprintf, map literals, closure creation, string conversion, or interface boxing inside loops. The kernels' ns/tuple figures assume zero GC pressure; take scratch from the pool.",
@@ -189,9 +189,9 @@ func Explain(name string) (string, bool) {
 // (relative to the module root) where the rule does not apply: sanctioned
 // call sites whose whole purpose is the flagged construct.
 var DefaultPathAllow = map[string][]string{
-	// internal/clock is the one sanctioned wall-clock wrapper; the
-	// metrics harness measures real elapsed time by design.
-	"determinism": {"internal/clock", "internal/metrics"},
+	// internal/clock is the one sanctioned wall-clock wrapper: phase
+	// time is read through its Stopwatch by core.PhaseClock alone.
+	"determinism": {"internal/clock"},
 }
 
 // Package is one parsed directory of non-test Go files plus best-effort

@@ -5,13 +5,10 @@ import "repro/internal/trace"
 //iawj:hotpath
 func hotRecordSpans(w *trace.Worker, r *trace.Recorder, keys []int) {
 	for _, k := range keys {
-		w.Begin(4) // ok: preallocated ring API
-		w.AddTuples(int64(k))
-		w.End()
-		w.Record(4, 0, 1, int64(k)) // ok: explicit-measure ring API
-		_ = trace.NewRecorder(1, 1) // want tracering
-		_ = r.Snapshot()            // want tracering
-		r.StartRun("NPJ")           // want tracering
+		w.Record(4, w.NowNs(), 1, int64(k)) // ok: preallocated ring API
+		_ = trace.NewRecorder(1, 1)         // want tracering
+		_ = r.Snapshot()                    // want tracering
+		r.StartRun("NPJ")                   // want tracering
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // TraceRing verifies that span recording inside `//iawj:hotpath` functions
 // goes through the preallocated per-worker ring API of internal/trace:
-// the nil-safe *trace.Worker methods (Begin/End/AddTuples/Record/NowNs),
-// which are a struct store plus one atomic publish. Everything else the
+// the nil-safe *trace.Worker methods Record and NowNs, a struct store
+// plus one atomic publish. (Phase spans reach Record through
+// core.PhaseClock, the run's one phase clock.) Everything else the
 // package exports — recorder construction, StartRun, Snapshot, the
 // exporters — allocates or takes the recorder mutex, so calling it from a
 // probe/build inner loop reintroduces exactly the overhead the ring
@@ -38,8 +39,8 @@ func (TraceRing) Severity() Severity { return Error }
 const tracePkgPath = "repro/internal/trace"
 
 // recorderMethods is the locking surface of the trace package, off-limits
-// on hot paths. The Worker ring methods (Begin, End, AddTuples, Record,
-// NowNs) are the sanctioned API and are not listed. Besides the Recorder
+// on hot paths. The Worker ring methods (Record, NowNs) are the
+// sanctioned API and are not listed. Besides the Recorder
 // methods this covers the Sampler read surface (SampleNow, Latest,
 // Samples) — every one takes the sampler mutex and SampleNow also reads
 // runtime/metrics; the sampling goroutine and export paths are the only
@@ -104,7 +105,7 @@ func (TraceRing) checkHotFunc(p *Package, fn *ast.FuncDecl, imports map[string]s
 			// hot path is flagged regardless of receiver type (syntactic,
 			// conservative toward the invariant).
 			flag(call.Pos(), fmt.Sprintf(
-				"%s call in a //iawj:hotpath function; use the *trace.Worker ring API (Begin/End/AddTuples/Record)", sel.Sel.Name))
+				"%s call in a //iawj:hotpath function; use the *trace.Worker ring API (Record/NowNs)", sel.Sel.Name))
 		}
 		return true
 	})

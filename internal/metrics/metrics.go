@@ -13,7 +13,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -52,10 +51,10 @@ func Phases() []Phase {
 // ThreadMetrics accumulates one worker's timings and matches. It must only
 // be used by its owning goroutine.
 type ThreadMetrics struct {
-	phaseNs   [numPhases]int64
-	cur       Phase
-	curActive bool
-	curStart  time.Time
+	// PhaseNs is the worker's time breakdown in nanoseconds per phase. The
+	// worker's phase clock (core.PhaseClock) is its only writer; this
+	// package reads no clock.
+	PhaseNs [numPhases]int64
 
 	matches     int64
 	latency     Histogram // latency in simulated ms
@@ -64,29 +63,6 @@ type ThreadMetrics struct {
 
 	_ [8]int64 // pad to keep adjacent workers off one cache line
 }
-
-// Begin switches the worker into phase p, closing the previous phase.
-func (t *ThreadMetrics) Begin(p Phase) {
-	now := time.Now()
-	if t.curActive {
-		t.phaseNs[t.cur] += now.Sub(t.curStart).Nanoseconds()
-	}
-	t.cur = p
-	t.curStart = now
-	t.curActive = true
-}
-
-// End closes the current phase.
-func (t *ThreadMetrics) End() {
-	if t.curActive {
-		t.phaseNs[t.cur] += time.Since(t.curStart).Nanoseconds()
-		t.curActive = false
-	}
-}
-
-// AddPhaseNs credits d nanoseconds to phase p directly; used when a worker
-// measures a batch itself rather than via Begin/End.
-func (t *ThreadMetrics) AddPhaseNs(p Phase, d int64) { t.phaseNs[p] += d }
 
 // Matches records n join matches generated at simulated time nowMs whose
 // last corresponding input arrived at lastInputMs. Latency follows the
@@ -272,7 +248,6 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 	var busy int64
 	for i := range c.threads {
 		t := &c.threads[i]
-		t.End()
 		res.Matches += t.matches
 		if t.lastMatchMs > res.LastMatchMs {
 			res.LastMatchMs = t.lastMatchMs
@@ -280,9 +255,9 @@ func (c *Collector) Snapshot(algorithm string, inputs int64, wallNs int64) Resul
 		lat.Merge(&t.latency)
 		prog.Merge(&t.progress)
 		for p := 0; p < int(numPhases); p++ {
-			res.PhaseNs[p] += t.phaseNs[p]
+			res.PhaseNs[p] += t.PhaseNs[p]
 			if Phase(p) != PhaseWait {
-				busy += t.phaseNs[p]
+				busy += t.PhaseNs[p]
 			}
 		}
 	}

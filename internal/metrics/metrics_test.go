@@ -89,26 +89,6 @@ func TestHistogramMergeAndCDF(t *testing.T) {
 	}
 }
 
-func TestThreadMetricsPhases(t *testing.T) {
-	c := NewCollector(1)
-	tm := c.T(0)
-	tm.Begin(PhaseBuildSort)
-	time.Sleep(2 * time.Millisecond)
-	tm.Begin(PhaseProbe)
-	time.Sleep(time.Millisecond)
-	tm.End()
-	res := c.Snapshot("x", 100, int64(5*time.Millisecond))
-	if res.PhaseNs[PhaseBuildSort] < int64(time.Millisecond) {
-		t.Fatalf("build phase too short: %d", res.PhaseNs[PhaseBuildSort])
-	}
-	if res.PhaseNs[PhaseProbe] <= 0 {
-		t.Fatal("probe phase missing")
-	}
-	if res.PhaseNs[PhaseWait] != 0 {
-		t.Fatal("no wait recorded")
-	}
-}
-
 func TestMatchesAndLatency(t *testing.T) {
 	c := NewCollector(2)
 	c.T(0).Matches(10, 100, 90) // latency 10
@@ -161,12 +141,15 @@ func TestMemAccounting(t *testing.T) {
 func TestCPUUtilBounds(t *testing.T) {
 	c := NewCollector(1)
 	tm := c.T(0)
-	tm.Begin(PhaseProbe)
-	time.Sleep(2 * time.Millisecond)
-	tm.End()
+	tm.PhaseNs[PhaseProbe] = int64(time.Millisecond)
+	tm.PhaseNs[PhaseWait] = int64(5 * time.Millisecond) // waiting is not busy
 	res := c.Snapshot("x", 1, int64(2*time.Millisecond))
-	if res.CPUUtil <= 0 || res.CPUUtil > 1 {
-		t.Fatalf("cpu util = %f", res.CPUUtil)
+	if res.CPUUtil != 0.5 {
+		t.Fatalf("cpu util = %f, want 0.5", res.CPUUtil)
+	}
+	tm.PhaseNs[PhaseProbe] = int64(3 * time.Millisecond) // busier than wall: clamps
+	if res = c.Snapshot("x", 1, int64(2*time.Millisecond)); res.CPUUtil != 1 {
+		t.Fatalf("cpu util = %f, want the clamp at 1", res.CPUUtil)
 	}
 }
 
@@ -182,11 +165,13 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
-func TestAddPhaseNs(t *testing.T) {
-	c := NewCollector(1)
-	c.T(0).AddPhaseNs(PhaseMerge, 12345)
+func TestSnapshotSumsPhaseNs(t *testing.T) {
+	c := NewCollector(2)
+	c.T(0).PhaseNs[PhaseMerge] = 12345
+	c.T(1).PhaseNs[PhaseMerge] = 5
+	c.T(1).PhaseNs[PhaseWait] = 7
 	res := c.Snapshot("x", 1, 1)
-	if res.PhaseNs[PhaseMerge] != 12345 {
-		t.Fatalf("merge ns = %d", res.PhaseNs[PhaseMerge])
+	if res.PhaseNs[PhaseMerge] != 12350 || res.PhaseNs[PhaseWait] != 7 {
+		t.Fatalf("phase ns = %v", res.PhaseNs)
 	}
 }

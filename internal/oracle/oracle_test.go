@@ -20,7 +20,8 @@ func (mutant) Approach() core.Approach { return core.Lazy }
 func (mutant) Method() core.JoinMethod { return core.HashJoin }
 func (m mutant) Run(ctx *core.ExecContext) error {
 	sink := core.NewSink(ctx, 0)
-	ctx.Begin(0, metrics.PhaseProbe)
+	pc := core.NewPhaseClock(ctx, 0)
+	pc.Begin(metrics.PhaseProbe)
 	injected := false
 	for _, rt := range ctx.R {
 		for _, st := range ctx.S {
@@ -46,7 +47,7 @@ func (m mutant) Run(ctx *core.ExecContext) error {
 			sink.Match(rt, st)
 		}
 	}
-	ctx.EndPhase(0)
+	pc.End()
 	return nil
 }
 

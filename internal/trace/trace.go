@@ -162,6 +162,17 @@ func (r *Recorder) NowNs() int64 {
 	return r.sw.ElapsedNs()
 }
 
+// Stopwatch returns the recorder's time base as a stopwatch whose
+// ElapsedNs equals NowNs, so a phase clock can stamp spans with one clock
+// read. A nil recorder has no time base and returns a stopwatch started
+// now.
+func (r *Recorder) Stopwatch() clock.Stopwatch {
+	if r == nil {
+		return clock.StartStopwatch()
+	}
+	return r.sw
+}
+
 // Dropped sums the spans lost to full rings across workers.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
@@ -218,45 +229,7 @@ type Worker struct {
 	n       atomic.Int64 // published span count: the single publish point
 	dropped atomic.Int64
 
-	// The currently open span, owner-only state.
-	open    bool
-	phase   int32
-	startNs int64
-	tuples  int64
-
-	_ [6]int64 // pad to 128 bytes: adjacent workers in Recorder.workers stay on distinct cache lines
-}
-
-// Begin closes any open span and opens a new one in phase p.
-func (w *Worker) Begin(p int) {
-	if w == nil {
-		return
-	}
-	now := w.rec.NowNs()
-	if w.open {
-		w.publish(now)
-	}
-	w.open = true
-	w.phase = int32(p)
-	w.startNs = now
-	w.tuples = 0
-}
-
-// End closes the open span, if any.
-func (w *Worker) End() {
-	if w == nil || !w.open {
-		return
-	}
-	w.publish(w.rec.NowNs())
-	w.open = false
-}
-
-// AddTuples attributes n tuples to the currently open span.
-func (w *Worker) AddTuples(n int64) {
-	if w == nil {
-		return
-	}
-	w.tuples += n
+	_ [9]int64 // pad to 128 bytes: adjacent workers in Recorder.workers stay on distinct cache lines
 }
 
 // NowNs exposes the recorder time base for explicitly measured spans
@@ -268,10 +241,11 @@ func (w *Worker) NowNs() int64 {
 	return w.rec.NowNs()
 }
 
-// Record publishes one explicitly measured span: phase p starting at
-// startNs (from NowNs) lasting durNs, covering tuples inputs. This is the
-// batch-loop API: eager workers measure each batch with a stopwatch and
-// publish the pair in one call instead of Begin/End.
+// Record publishes one measured span: phase p starting at startNs (in the
+// recorder time base) lasting durNs, covering tuples inputs. It is the
+// only publish path: the run's phase clock (core.PhaseClock) hands every
+// closed stretch here, and ingest replays time their send segments
+// against NowNs.
 func (w *Worker) Record(p int, startNs, durNs, tuples int64) {
 	if w == nil {
 		return
@@ -288,24 +262,6 @@ func (w *Worker) Record(p int, startNs, durNs, tuples int64) {
 		StartNs: startNs,
 		DurNs:   durNs,
 		Tuples:  tuples,
-	}
-	w.n.Store(i + 1)
-}
-
-// publish seals the open span ending at endNs into the ring.
-func (w *Worker) publish(endNs int64) {
-	i := w.n.Load()
-	if int(i) >= len(w.spans) {
-		w.dropped.Add(1)
-		return
-	}
-	w.spans[i] = Span{
-		TID:     w.tid,
-		Phase:   w.phase,
-		Alg:     w.rec.curAlg.Load(),
-		StartNs: w.startNs,
-		DurNs:   endNs - w.startNs,
-		Tuples:  w.tuples,
 	}
 	w.n.Store(i + 1) // the one atomic publish per span
 }

@@ -6,43 +6,6 @@ import (
 	"testing"
 )
 
-func TestRecorderBeginEndPublishesSpans(t *testing.T) {
-	r := NewRecorder(2, 8)
-	r.StartRun("NPJ")
-
-	w := r.T(0)
-	w.Begin(2) // build/sort
-	w.AddTuples(100)
-	w.Begin(4) // probe: implicitly closes the build span
-	w.AddTuples(40)
-	w.End()
-
-	spans := r.Snapshot()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Phase != 2 || spans[0].Tuples != 100 {
-		t.Errorf("span 0 = %+v, want phase 2 with 100 tuples", spans[0])
-	}
-	if spans[1].Phase != 4 || spans[1].Tuples != 40 {
-		t.Errorf("span 1 = %+v, want phase 4 with 40 tuples", spans[1])
-	}
-	for i, s := range spans {
-		if s.TID != 0 {
-			t.Errorf("span %d TID = %d, want 0", i, s.TID)
-		}
-		if s.DurNs < 0 || s.StartNs < 0 {
-			t.Errorf("span %d has negative time: %+v", i, s)
-		}
-		if got := r.AlgName(s.Alg); got != "NPJ" {
-			t.Errorf("span %d algorithm = %q, want NPJ", i, got)
-		}
-	}
-	if spans[0].StartNs > spans[1].StartNs {
-		t.Errorf("snapshot not sorted by start: %v then %v", spans[0].StartNs, spans[1].StartNs)
-	}
-}
-
 func TestRecorderRecordExplicitSpan(t *testing.T) {
 	r := NewRecorder(1, 4)
 	r.StartRun("SHJ_JM")
@@ -117,9 +80,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	r.StartRun("x")
 
 	var w *Worker
-	w.Begin(1)
-	w.AddTuples(5)
-	w.End()
 	w.Record(1, 0, 1, 1)
 	if w.NowNs() != 0 {
 		t.Error("nil worker NowNs != 0")
@@ -142,16 +102,13 @@ func TestNilHandlesAreInert(t *testing.T) {
 	g.Attach(nil)
 }
 
-// TestDisabledTracingAllocsPerSpan is the tentpole's zero-cost guarantee:
-// recording through a nil worker handle (tracing disabled) must not
-// allocate.
+// TestDisabledTracingAllocsPerSpan is the zero-cost guarantee: recording
+// through a nil worker handle (tracing disabled) must not allocate. The
+// phase clock's own transitions are covered in internal/core.
 func TestDisabledTracingAllocsPerSpan(t *testing.T) {
 	var w *Worker
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.Begin(4)
-		w.AddTuples(64)
-		w.End()
-		w.Record(4, 0, 100, 64)
+		w.Record(4, w.NowNs(), 100, 64)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %.1f per span, want 0", allocs)
@@ -165,9 +122,7 @@ func TestEnabledTracingAllocsPerSpan(t *testing.T) {
 	r.StartRun("NPJ")
 	w := r.T(0)
 	allocs := testing.AllocsPerRun(1000, func() {
-		w.Begin(4)
-		w.AddTuples(64)
-		w.End()
+		w.Record(4, w.NowNs(), 100, 64)
 	})
 	if allocs != 0 {
 		t.Errorf("enabled tracing allocates %.1f per span, want 0", allocs)

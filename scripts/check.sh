@@ -18,9 +18,10 @@
 #   8. trace smoke  a scaled-down fig7 sweep with -trace must yield valid
 #                   Chrome trace JSON with spans for every phase
 #   9. fuzz smoke   5s per existing fuzz target on the gen/ingest parsers
-#                   plus the kernel differential fuzzers (partitioner,
-#                   batched hash table, merge-join runs) and the
-#                   whole-join conformance fuzzer
+#                   and the journal decoder, plus the kernel differential
+#                   fuzzers (partitioner, batched hash table, merge-join
+#                   runs) and the whole-join conformance fuzzer; the same
+#                   list as `make fuzz-smoke`
 #  10. bench smoke  every BenchmarkKernel* microbenchmark runs once under
 #                   the race detector, so the batched kernels stay
 #                   runnable and race-clean without a full measurement;
@@ -113,6 +114,7 @@ step "fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime="$FUZZTIME" ./internal/gen
 go test -run='^$' -fuzz='^FuzzReadStream$' -fuzztime="$FUZZTIME" ./internal/ingest
 go test -run='^$' -fuzz='^FuzzReadBinary$' -fuzztime="$FUZZTIME" ./internal/ingest
+go test -run='^$' -fuzz='^FuzzReadJournal$' -fuzztime="$FUZZTIME" ./internal/trace
 go test -run='^$' -fuzz='^FuzzPartitionerDiff$' -fuzztime="$FUZZTIME" ./internal/radix
 go test -run='^$' -fuzz='^FuzzBatchDiff$' -fuzztime="$FUZZTIME" ./internal/hashtable
 go test -run='^$' -fuzz='^FuzzMergeJoinRuns$' -fuzztime="$FUZZTIME" ./internal/sortmerge

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/window"
 )
 
@@ -51,7 +50,7 @@ type WindowResult struct {
 func JoinWindowed(r, s Relation, spec WindowSpec, cfg Config) ([]WindowResult, error) {
 	// Checked up front: windows with input on one side only never reach
 	// Join, and a bad config must fail however the windows fall.
-	if err := core.CheckThreads(cfg.Threads); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	pairs, err := window.AssignPair(r, s, spec)
@@ -91,7 +90,7 @@ func JoinWindowedParallel(r, s Relation, spec WindowSpec, cfg Config, workers in
 	if workers <= 1 {
 		return JoinWindowed(r, s, spec, cfg)
 	}
-	if err := core.CheckThreads(cfg.Threads); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	pairs, err := window.AssignPair(r, s, spec)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -141,6 +142,62 @@ func TestTraceRecorderReuseAcrossRuns(t *testing.T) {
 	algs := rec.Algorithms()
 	if fmt.Sprint(algs) != "[? NPJ PRJ]" {
 		t.Errorf("Algorithms = %v, want [? NPJ PRJ]", algs)
+	}
+}
+
+// captureCtx runs an algorithm and keeps its execution context, so a test
+// can read the per-worker breakdown the run's Result sums away.
+type captureCtx struct {
+	core.Algorithm
+	ctx *core.ExecContext
+}
+
+func (c *captureCtx) Run(ctx *core.ExecContext) error {
+	c.ctx = ctx
+	return c.Algorithm.Run(ctx)
+}
+
+// TestSpanSumEqualsBreakdown is the one-measurement invariant: the
+// Figure 7 breakdown and the Perfetto spans come from one phase clock, so
+// for every phase the span durations summed over all workers equal
+// Result.PhaseNs exactly, and so does every (worker, phase) sum against
+// that worker's own breakdown — for all eight algorithms and HANDSHAKE,
+// streaming and at rest.
+func TestSpanSumEqualsBreakdown(t *testing.T) {
+	w := smallWorkload(t)
+	const threads = 2
+	for _, atRest := range []bool{false, true} {
+		for _, name := range append(Algorithms(), "HANDSHAKE") {
+			alg, err := NewAlgorithm(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := NewTraceRecorder(threads, 1<<16)
+			cc := &captureCtx{Algorithm: alg}
+			res, err := core.Run(cc, w.R, w.S, w.WindowMs, core.RunConfig{
+				Threads: threads, AtRest: atRest, NsPerSimMs: 1000, Trace: rec,
+			})
+			if err != nil {
+				t.Fatalf("%s atRest=%v: %v", name, atRest, err)
+			}
+			if d := rec.Dropped(); d != 0 {
+				t.Fatalf("%s atRest=%v: ring dropped %d spans", name, atRest, d)
+			}
+			var total [6]int64
+			var perWorker [threads][6]int64
+			for _, s := range rec.Snapshot() {
+				total[s.Phase] += s.DurNs
+				perWorker[s.TID][s.Phase] += s.DurNs
+			}
+			if total != res.PhaseNs {
+				t.Errorf("%s atRest=%v: span sums %v != breakdown %v", name, atRest, total, res.PhaseNs)
+			}
+			for tid := range perWorker {
+				if got := cc.ctx.M.T(tid).PhaseNs; perWorker[tid] != got {
+					t.Errorf("%s atRest=%v worker %d: span sums %v != breakdown %v", name, atRest, tid, perWorker[tid], got)
+				}
+			}
+		}
 	}
 }
 

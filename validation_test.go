@@ -57,6 +57,56 @@ func TestThreadsCap(t *testing.T) {
 	}
 }
 
+// TestKnobCaps checks the RadixBits and BatchSize bounds at every public
+// entry point: zero and negative values select the defaults, the cap
+// itself runs, and anything above it is rejected with ErrKnobOutOfRange
+// before any join starts — RadixBits 64 used to panic inside the
+// partitioner, and BatchSize 1<<40 would preallocate 16 TiB per worker.
+func TestKnobCaps(t *testing.T) {
+	r := Relation{{TS: 0, Key: 1}, {TS: 1, Key: 2}, {TS: 12, Key: 1}}
+	s := Relation{{TS: 0, Key: 1}, {TS: 2, Key: 2}, {TS: 13, Key: 1}}
+	spec := WindowSpec{Kind: Tumbling, LengthMs: 10}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wantErr error
+	}{
+		{"RadixBits negative means default", Config{Algorithm: "PRJ", RadixBits: -3}, nil},
+		{"RadixBits at the cap", Config{Algorithm: "PRJ", RadixBits: MaxRadixBits}, nil},
+		{"RadixBits just above the cap", Config{Algorithm: "PRJ", RadixBits: MaxRadixBits + 1}, ErrKnobOutOfRange},
+		{"RadixBits 64", Config{Algorithm: "PRJ", RadixBits: 64}, ErrKnobOutOfRange},
+		{"BatchSize negative means default", Config{Algorithm: "SHJ_JM", BatchSize: -1}, nil},
+		{"BatchSize at the cap", Config{Algorithm: "PMJ_JB", BatchSize: MaxBatchSize}, nil},
+		{"BatchSize 1<<40", Config{Algorithm: "SHJ_JM", BatchSize: 1 << 40}, ErrKnobOutOfRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Threads, cfg.AtRest = 2, true
+			// An unguarded out-of-range value crashes or exhausts memory,
+			// so the guard is confirmed before any join is attempted.
+			if err := cfg.check(); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("check: err = %v, want %v", err, tc.wantErr)
+			}
+			res, err := Join(r, s, cfg)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Join: err = %v, want %v", err, tc.wantErr)
+			}
+			if err == nil && res.Matches != ExpectedMatches(r, s) {
+				t.Fatalf("Join: %d matches, want %d", res.Matches, ExpectedMatches(r, s))
+			}
+			if _, err := JoinWindowed(r, s, spec, cfg); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowed: err = %v, want %v", err, tc.wantErr)
+			}
+			if _, err := JoinWindowed(r[:1], nil, spec, cfg); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowed, one-sided: err = %v, want %v", err, tc.wantErr)
+			}
+			if _, err := JoinWindowedParallel(r, s, spec, cfg, 2); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("JoinWindowedParallel: err = %v, want %v", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestProfileWorkloadYSBRegression guards a decision-tree bug: YSB's
 // at-rest campaigns table (all timestamps zero) computed a finite "rate"
 // of count-per-1ms that happened to hit the low-rate branch and
